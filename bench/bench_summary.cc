@@ -41,26 +41,20 @@ struct Cell
     int procs;
 };
 
-/** One concrete cell on top of the shared base spec, so this bench
- *  maps runs/seed/sandbox/cache exactly like the figure benches (and
- *  shares their disk-cached cells). */
+/** One concrete cell of the shared base spec: every flag reaches it
+ *  exactly as it reaches the figure benches' cells (whose disk cache
+ *  it shares). */
 ExperimentConfig
 makeConfig(const core::GridSpec &base, const Cell &cell, Design design,
            bool inject)
 {
-    ExperimentConfig config;
-    config.app = cell.app;
-    config.input = cell.input;
-    config.nprocs = cell.procs;
-    config.design = design;
-    config.injectFailure = inject;
-    config.runs = base.runs;
-    config.seed = base.seed;
-    config.sandboxDir = base.sandboxDir;
-    config.cacheDir = base.cacheDir;
-    config.costParams = base.costParams;
-    config.noiseSigma = base.noiseSigma;
-    return config;
+    core::GridSpec spec = base;
+    spec.apps = {cell.app};
+    spec.inputs = {cell.input};
+    spec.scales = {cell.procs};
+    spec.designs = {design};
+    spec.injectFailure = inject;
+    return spec.enumerate().front();
 }
 
 } // namespace
@@ -72,7 +66,7 @@ main(int argc, char **argv)
 
     // The evaluation grid (Table I): scaling sweep + input sweep.
     std::vector<Cell> cells;
-    for (const std::string &app : options.apps) {
+    for (const std::string &app : options.spec.apps) {
         const auto &spec = apps::findApp(app);
         for (int procs : spec.scalingSizes) {
             if (options.quick && procs != spec.scalingSizes.front() &&

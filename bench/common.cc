@@ -96,66 +96,69 @@ BenchOptions
 BenchOptions::parse(int argc, char **argv)
 {
     BenchOptions options;
+    core::GridSpec &spec = options.spec;
+    core::GridPolicy &policy = options.policy;
+    spec.sandboxDir = "/dev/shm/match-fti-bench";
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--quick") {
             options.quick = true;
-            options.runs = 2;
+            spec.runs = 2;
         } else if (arg == "--runs" && i + 1 < argc) {
-            options.runs =
+            spec.runs =
                 static_cast<int>(parseIntFlag("--runs", argv[++i], 1));
         } else if (arg == "--seed" && i + 1 < argc) {
-            options.seed = parseU64Flag("--seed", argv[++i]);
+            spec.seed = parseU64Flag("--seed", argv[++i]);
         } else if (arg == "--csv" && i + 1 < argc) {
             options.csvDir = argv[++i];
         } else if (arg == "--sandbox" && i + 1 < argc) {
-            options.sandboxDir = argv[++i];
+            spec.sandboxDir = argv[++i];
         } else if (arg == "--jobs" && i + 1 < argc) {
             options.jobs =
                 static_cast<int>(parseIntFlag("--jobs", argv[++i], 0));
         } else if (arg == "--storage" && i + 1 < argc) {
             const std::string kind = argv[++i];
             if (kind == "mem")
-                options.storage = storage::Kind::Mem;
+                spec.storage = storage::Kind::Mem;
             else if (kind == "disk")
-                options.storage = storage::Kind::Disk;
+                spec.storage = storage::Kind::Disk;
             else
                 badChoice("--storage", kind, {"mem", "disk"});
         } else if (arg == "--drain" && i + 1 < argc) {
             const std::string mode = argv[++i];
             if (mode == "sync")
-                options.drain = storage::DrainMode::Sync;
+                spec.drain = storage::DrainMode::Sync;
             else if (mode == "async")
-                options.drain = storage::DrainMode::Async;
+                spec.drain = storage::DrainMode::Async;
             else
                 badChoice("--drain", mode, {"sync", "async"});
         } else if (arg == "--drain-depth" && i + 1 < argc) {
-            options.drainDepth = static_cast<int>(
+            spec.drainDepth = static_cast<int>(
                 parseIntFlag("--drain-depth", argv[++i], 0));
         } else if (arg == "--drain-capacity" && i + 1 < argc) {
-            options.drainCapacityBytes = static_cast<std::size_t>(
+            spec.drainCapacityBytes = static_cast<std::size_t>(
                 parseU64Flag("--drain-capacity", argv[++i]));
         } else if (arg == "--cell-timeout" && i + 1 < argc) {
             const std::string value = argv[++i];
             if (value == "auto") {
-                options.autoCellTimeout = true;
-                options.cellTimeoutSeconds = 0.0;
+                policy.autoTimeout = true;
+                policy.cellTimeoutSeconds = 0.0;
             } else {
                 char *end = nullptr;
                 const double seconds = std::strtod(value.c_str(), &end);
                 if (end == value.c_str() || *end != '\0' || seconds < 0.0)
                     badChoice("--cell-timeout", value,
                               {"auto", "SECONDS (0 disables)"});
-                options.cellTimeoutSeconds = seconds;
-                options.autoCellTimeout = false;
+                policy.cellTimeoutSeconds = seconds;
+                policy.autoTimeout = false;
             }
         } else if (arg == "--cell-retries" && i + 1 < argc) {
-            options.cellRetries = static_cast<int>(
+            policy.cellRetries = static_cast<int>(
                 parseIntFlag("--cell-retries", argv[++i], 0));
         } else if (arg == "--resume") {
-            options.resume = true;
+            policy.resume = true;
         } else if (arg == "--no-resume") {
-            options.resume = false;
+            policy.resume = false;
         } else if (arg == "--strict") {
             options.strict = true;
         } else if (arg == "--pin" && i + 1 < argc) {
@@ -170,57 +173,59 @@ BenchOptions::parse(int argc, char **argv)
                 badChoice("--pin", mode, {"none", "auto", "cores"});
         } else if (arg == "--failure-model" && i + 1 < argc) {
             const std::string name = argv[++i];
-            if (!ft::parseFailureModel(name, options.failureModel)) {
+            if (!ft::parseFailureModel(name, spec.failureModel)) {
                 badChoice("--failure-model", name,
                           {"single", "independent", "correlated",
                            "trace"});
             }
         } else if (arg == "--failure-trace" && i + 1 < argc) {
-            options.traceEvents = ft::readTraceFile(argv[++i]);
-            options.failureModel = ft::FailureModelKind::Trace;
+            spec.traceEvents = ft::readTraceFile(argv[++i]);
+            spec.failureModel = ft::FailureModelKind::Trace;
         } else if (arg == "--mean-failures" && i + 1 < argc) {
-            options.meanFailures =
+            spec.meanFailures =
                 parseDoubleFlag("--mean-failures", argv[++i], 0.0);
         } else if (arg == "--cascade-prob" && i + 1 < argc) {
-            options.cascadeProb =
+            spec.cascadeProb =
                 parseDoubleFlag("--cascade-prob", argv[++i], 0.0);
         } else if (arg == "--corrupt-fraction" && i + 1 < argc) {
-            options.corruptFraction =
+            spec.corruptFraction =
                 parseDoubleFlag("--corrupt-fraction", argv[++i], 0.0);
         } else if (arg == "--sdc-checks") {
-            options.sdcChecks = true;
+            spec.sdcChecks = true;
         } else if (arg == "--scrub-stride" && i + 1 < argc) {
-            options.scrubStride = static_cast<int>(
+            spec.scrubStride = static_cast<int>(
                 parseIntFlag("--scrub-stride", argv[++i], 0));
         } else if (arg == "--storage-fault-windows" && i + 1 < argc) {
-            options.storageFaultWindows = static_cast<int>(
+            spec.storageFaultWindows = static_cast<int>(
                 parseIntFlag("--storage-fault-windows", argv[++i], 0));
         } else if (arg == "--storage-fault-pfs-bias" && i + 1 < argc) {
-            options.storageFaultPfsBias = parseDoubleFlag(
+            spec.storageFaultPfsBias = parseDoubleFlag(
                 "--storage-fault-pfs-bias", argv[++i], 0.0);
         } else if (arg == "--storage-fault-mean-epochs" && i + 1 < argc) {
-            options.storageFaultMeanEpochs = static_cast<int>(parseIntFlag(
+            spec.storageFaultMeanEpochs = static_cast<int>(parseIntFlag(
                 "--storage-fault-mean-epochs", argv[++i], 1));
         } else if (arg == "--storage-fault-strikes" && i + 1 < argc) {
-            options.storageFaultStrikes = static_cast<int>(
+            spec.storageFaultStrikes = static_cast<int>(
                 parseIntFlag("--storage-fault-strikes", argv[++i], 1));
         } else if (arg == "--storage-fault-trace" && i + 1 < argc) {
-            options.storageFaultTrace =
+            spec.storageFaultTrace =
                 storage::readFaultTraceFile(argv[++i]);
             // A replayed trace engages the engine even without an
             // explicit window count (the draws are skipped anyway).
-            if (options.storageFaultWindows == 0)
-                options.storageFaultWindows = 1;
+            if (spec.storageFaultWindows == 0)
+                spec.storageFaultWindows = 1;
         } else if (arg == "--io-retry-limit" && i + 1 < argc) {
-            options.ioRetryLimit = static_cast<int>(
+            spec.ioRetryLimit = static_cast<int>(
                 parseIntFlag("--io-retry-limit", argv[++i], 0));
         } else if (arg == "--transform" && i + 1 < argc) {
             const std::string name = argv[++i];
-            if (!storage::parseTransformKind(name, options.transform)) {
+            storage::TransformKind kind{};
+            if (!storage::parseTransformKind(name, kind)) {
                 badChoice("--transform", name,
                           {"none", "delta", "compress",
                            "delta+compress"});
             }
+            spec.transforms = {kind};
         } else if (arg == "--perf") {
             options.perf = true;
         } else if (arg == "--perf-dir" && i + 1 < argc) {
@@ -229,7 +234,7 @@ BenchOptions::parse(int argc, char **argv)
             std::istringstream list(argv[++i]);
             std::string name;
             while (std::getline(list, name, ','))
-                options.apps.push_back(name);
+                spec.apps.push_back(name);
         } else if (arg == "--help" || arg == "-h") {
             std::printf(
                 "options: [--quick] [--runs N] [--seed S] [--csv DIR] "
@@ -322,11 +327,11 @@ BenchOptions::parse(int argc, char **argv)
             util::fatal("unknown option: %s", arg.c_str());
         }
     }
-    if (options.apps.empty()) {
-        for (const auto &spec : apps::registry())
-            options.apps.push_back(spec.name);
+    if (spec.apps.empty()) {
+        for (const auto &app : apps::registry())
+            spec.apps.push_back(app.name);
     } else {
-        for (const std::string &name : options.apps)
+        for (const std::string &name : spec.apps)
             apps::findApp(name); // fail fast with the valid-name list
     }
     return options;
@@ -335,48 +340,15 @@ BenchOptions::parse(int argc, char **argv)
 core::GridSpec
 BenchOptions::baseSpec() const
 {
-    GridSpec spec;
-    spec.apps = apps;
-    spec.runs = runs;
-    spec.seed = seed;
-    spec.sandboxDir = sandboxDir;
-    spec.cacheDir = sandboxDir + "/cell-cache";
-    spec.storage = storage;
-    spec.drain = drain;
-    spec.drainDepth = drainDepth;
-    spec.failureModel = failureModel;
-    spec.meanFailures = meanFailures;
-    spec.cascadeProb = cascadeProb;
-    spec.corruptFraction = corruptFraction;
-    spec.traceEvents = traceEvents;
-    spec.sdcChecks = sdcChecks;
-    spec.scrubStride = scrubStride;
-    spec.drainCapacityBytes = drainCapacityBytes;
-    spec.transforms = {transform};
-    spec.storageFaultWindows = storageFaultWindows;
-    spec.storageFaultPfsBias = storageFaultPfsBias;
-    spec.storageFaultMeanEpochs = storageFaultMeanEpochs;
-    spec.storageFaultStrikes = storageFaultStrikes;
-    spec.storageFaultTrace = storageFaultTrace;
-    spec.ioRetryLimit = ioRetryLimit;
-    return spec;
-}
-
-core::GridPolicy
-BenchOptions::gridPolicy() const
-{
-    core::GridPolicy policy;
-    policy.cellTimeoutSeconds = cellTimeoutSeconds;
-    policy.autoTimeout = autoCellTimeout;
-    policy.cellRetries = cellRetries;
-    policy.resume = resume;
-    return policy;
+    GridSpec base = spec;
+    base.cacheDir = spec.sandboxDir + "/cell-cache";
+    return base;
 }
 
 core::GridRunner
 BenchOptions::makeRunner() const
 {
-    return core::GridRunner(jobs, pin, gridPolicy());
+    return core::GridRunner(jobs, pin, policy);
 }
 
 int
@@ -549,7 +521,7 @@ writePerfRecord(const BenchOptions &options, const FigureDef &def,
                  "  \"computedCells\": %zu,\n"
                  "  \"backends\": [\n",
                  def.slug, def.figure, options.quick ? "true" : "false",
-                 options.runs, jobs, core::GridRunner::hardwareJobs(),
+                 options.spec.runs, jobs, core::GridRunner::hardwareJobs(),
                  core::pinModeName(options.pin), cells, computed);
     for (std::size_t i = 0; i < samples.size(); ++i)
         writeJsonTiming(out, "storage",
@@ -694,7 +666,7 @@ runFigure(const BenchOptions &options, const FigureDef &def)
                 def.inject ? "one injected process failure"
                            : "no process failures");
     std::printf("(methodology: %d runs averaged per configuration)\n\n",
-                options.runs);
+                options.spec.runs);
 
     GridSpec spec = options.baseSpec();
     spec.injectFailure = def.inject;
@@ -815,7 +787,7 @@ runFigure(const BenchOptions &options, const FigureDef &def)
     }
 
     std::size_t at = 0;
-    for (const std::string &app : options.apps) {
+    for (const std::string &app : spec.apps) {
         std::vector<std::string> headers;
         if (def.sweep == Sweep::ScalingSizes)
             headers = {"#Processes", "Design"};

@@ -129,7 +129,9 @@ miniviteMain(Proc &proc, const fti::FtiConfig &fti_config,
             }
             next[v] = best;
         }
-        community.swap(next);
+        // Copy in place: FTI protects community.data(), so the buffer
+        // must stay the one every checkpoint and recovery sees.
+        std::copy(next.begin(), next.end(), community.begin());
         proc.compute(model_flops);
         proc.sleepFor(jitterSecondsPerProc * size);
 

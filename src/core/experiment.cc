@@ -71,6 +71,7 @@ configKey(const ExperimentConfig &config)
             h *= 0x100000001b3ULL;
         }
     };
+    mix(&kResultSchema, sizeof(kResultSchema));
     mix(config.app.data(), config.app.size());
     const int scalars[] = {static_cast<int>(config.input), config.nprocs,
                            static_cast<int>(config.design),

@@ -206,8 +206,20 @@ std::uint64_t cellSeed(const ExperimentConfig &config, int run);
  */
 std::string execId(const ExperimentConfig &config, int run);
 
-/** Exact result-cache key: hashes every field that influences the
- *  result (and nothing else — sandbox/cache paths are excluded). */
+/**
+ * Result-schema version hashed into every configKey(). Bump it with
+ * any change that moves virtual results for an unchanged configuration
+ * (a golden fixture or a bit-identity reference): a reused cacheDir
+ * then misses instead of replaying stale `.cell` files.
+ *
+ * 2: miniVite checkpoints its live community buffer (it snapshotted a
+ *    freed one, which moved delta/delta+compress results).
+ */
+inline constexpr std::uint32_t kResultSchema = 2;
+
+/** Exact result-cache key: hashes kResultSchema and every field that
+ *  influences the result (and nothing else — sandbox/cache paths,
+ *  storage kind, drain mode/depth and the cancel token are excluded). */
 std::string configKey(const ExperimentConfig &config);
 
 /**

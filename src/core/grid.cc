@@ -216,6 +216,19 @@ steadyNowNs()
 std::vector<ExperimentConfig>
 GridSpec::enumerate() const
 {
+    // The axes own these fields; a value set on the spec would be
+    // overwritten in every cell below.
+    const ExperimentConfig defaults;
+    MATCH_ASSERT(app == defaults.app && input == defaults.input &&
+                     nprocs == defaults.nprocs &&
+                     design == defaults.design &&
+                     ckptStride == defaults.ckptStride &&
+                     ckptLevel == defaults.ckptLevel &&
+                     transform == defaults.transform,
+                 "GridSpec: set the apps/inputs/scales/designs/"
+                 "ckptStrides/ckptLevels/transforms axes, not the "
+                 "per-cell fields");
+
     std::vector<std::string> app_names = apps;
     if (app_names.empty()) {
         for (const auto &spec : match::apps::registry())
@@ -223,61 +236,31 @@ GridSpec::enumerate() const
     }
 
     std::vector<ExperimentConfig> cells;
-    for (const std::string &app : app_names) {
-        const auto &spec = match::apps::findApp(app);
+    ExperimentConfig cell = *this; // the base: every inherited setting
+    for (const std::string &app_name : app_names) {
+        const auto &spec = match::apps::findApp(app_name);
         std::vector<int> app_scales = scales;
         if (app_scales.empty()) {
             app_scales = spec.scalingSizes;
             if (endpointsOnly && app_scales.size() > 2)
                 app_scales = {app_scales.front(), app_scales.back()};
         }
-        for (int nprocs : app_scales) {
-            for (apps::InputSize input : inputs) {
-                for (ft::Design design : designs) {
+        cell.app = app_name;
+        for (int procs : app_scales) {
+            cell.nprocs = procs;
+            for (apps::InputSize size : inputs) {
+                cell.input = size;
+                for (ft::Design d : designs) {
+                    cell.design = d;
                     for (int stride : ckptStrides) {
+                        cell.ckptStride = stride;
                         for (int level : ckptLevels) {
-                          for (storage::TransformKind transform :
-                               transforms) {
-                            ExperimentConfig config;
-                            config.app = app;
-                            config.input = input;
-                            config.nprocs = nprocs;
-                            config.design = design;
-                            config.injectFailure = injectFailure;
-                            config.runs = runs;
-                            config.seed = seed;
-                            config.ckptLevel = level;
-                            config.ckptStride = stride;
-                            config.sandboxDir = sandboxDir;
-                            config.cacheDir = cacheDir;
-                            config.costParams = costParams;
-                            config.noiseSigma = noiseSigma;
-                            config.storage = storage;
-                            config.drain = drain;
-                            config.drainDepth = drainDepth;
-                            config.failureModel = failureModel;
-                            config.meanFailures = meanFailures;
-                            config.cascadeProb = cascadeProb;
-                            config.corruptFraction = corruptFraction;
-                            config.traceEvents = traceEvents;
-                            config.sdcChecks = sdcChecks;
-                            config.scrubStride = scrubStride;
-                            config.drainCapacityBytes =
-                                drainCapacityBytes;
-                            config.transform = transform;
-                            config.deltaRebase = deltaRebase;
-                            config.storageFaultWindows =
-                                storageFaultWindows;
-                            config.storageFaultPfsBias =
-                                storageFaultPfsBias;
-                            config.storageFaultMeanEpochs =
-                                storageFaultMeanEpochs;
-                            config.storageFaultStrikes =
-                                storageFaultStrikes;
-                            config.storageFaultTrace = storageFaultTrace;
-                            config.ioRetryLimit = ioRetryLimit;
-                            cells.push_back(std::move(config));
-                          }
+                            cell.ckptLevel = level;
+                            for (storage::TransformKind kind :
+                                 transforms) {
+                                cell.transform = kind;
+                                cells.push_back(cell);
+                            }
                         }
                     }
                 }

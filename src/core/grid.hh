@@ -40,11 +40,20 @@ namespace match::core
 {
 
 /**
- * Declarative description of an evaluation grid. enumerate() expands
- * the axes into ExperimentConfig cells ordered app -> scale -> input ->
- * design -> stride -> level (the order the paper's figures list rows).
+ * Declarative description of an evaluation grid: a base cell plus the
+ * sweep axes. Every ExperimentConfig setting is inherited, so a value
+ * set on the spec reaches every cell unchanged — the configuration has
+ * one schema, declared once in ExperimentConfig. enumerate() expands
+ * the axes into cells ordered app -> scale -> input -> design ->
+ * stride -> level -> transform (the order the paper's figures list
+ * rows).
+ *
+ * The seven per-cell fields the axes own (app, input, nprocs, design,
+ * ckptStride, ckptLevel, transform) must keep their ExperimentConfig
+ * defaults on the spec; enumerate() asserts that, so a value set on
+ * them is never silently overwritten.
  */
-struct GridSpec
+struct GridSpec : ExperimentConfig
 {
     /** Apps to sweep; empty means the full six-app registry. */
     std::vector<std::string> apps;
@@ -82,54 +91,13 @@ struct GridSpec
     std::vector<storage::TransformKind> transforms{
         storage::TransformKind::None};
 
-    /** Full-envelope cadence of the delta chain, copied verbatim into
-     *  every cell (ExperimentConfig::deltaRebase). */
-    int deltaRebase = 8;
-
-    /** Inject one process failure per run. */
-    bool injectFailure = false;
-
-    /** Paper methodology: five runs averaged per cell. */
-    int runs = 5;
-    std::uint64_t seed = 42;
-    std::string sandboxDir = "/tmp/match-fti";
-    /** Non-empty: memoize cell results on disk (thread-safe). */
-    std::string cacheDir;
-    simmpi::CostParams costParams{};
-    double noiseSigma = 0.01;
-    /** Checkpoint sandbox storage (results are identical for any
-     *  kind; only wall time changes). */
-    storage::Kind storage = storage::Kind::Mem;
-    /** PFS drain execution mode and queue depth (results are identical
-     *  for any combination; only wall time changes). */
-    storage::DrainMode drain = storage::DrainMode::Async;
-    int drainDepth = 4;
-
-    /** Failure-scenario engine axes, copied verbatim into every cell
-     *  (see ExperimentConfig). Virtual-result knobs, unlike
-     *  storage/drain/pin. */
-    ft::FailureModelKind failureModel = ft::FailureModelKind::Single;
-    double meanFailures = 1.0;
-    double cascadeProb = 0.35;
-    double corruptFraction = 0.0;
-    std::vector<ft::FailureEvent> traceEvents;
-    bool sdcChecks = false;
-    int scrubStride = 0;
-    std::size_t drainCapacityBytes = 0;
-
-    /** Storage-fault engine axes, copied verbatim into every cell (see
-     *  ExperimentConfig). Virtual-result knobs like the failure-model
-     *  axes above; 0 windows leaves every cell's backend undecorated. */
-    int storageFaultWindows = 0;
-    double storageFaultPfsBias = 0.75;
-    int storageFaultMeanEpochs = 2;
-    int storageFaultStrikes = 2;
-    std::vector<storage::FaultWindow> storageFaultTrace;
-    int ioRetryLimit = 3;
-
     /** Expand the axes into concrete cells (deterministic order). */
     std::vector<ExperimentConfig> enumerate() const;
 };
+
+/** A spec is a grid, never a cell: running one directly would slice
+ *  it down to its base and ignore every axis. */
+ExperimentResult runExperiment(const GridSpec &spec) = delete;
 
 /**
  * Worker-thread placement policy. Pinning is wall-clock only: results
@@ -290,13 +258,6 @@ class GridRunner
     std::vector<ExperimentResult>
     run(const std::vector<ExperimentConfig> &cells,
         GridTiming *timing = nullptr) const;
-
-    /** Enumerate and run a declarative spec. */
-    std::vector<ExperimentResult>
-    run(const GridSpec &spec, GridTiming *timing = nullptr) const
-    {
-        return run(spec.enumerate(), timing);
-    }
 
   private:
     int jobs_ = 1;

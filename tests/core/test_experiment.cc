@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 
 #include "src/core/experiment.hh"
+#include "tests/core/config_fields.hh"
 
 namespace fs = std::filesystem;
 using namespace match;
@@ -285,6 +287,10 @@ TEST(Experiment, GoldenResultsPinnedAcrossOptimizations)
         {Design::ReinitFti, 4, false, 0.26857265373982575,
          0.060751006691229847, 0.0, 0.0, 0, false},
     };
+    // The result-cache key carries this schema version. Bump it (here
+    // and in experiment.hh) whenever a golden above moves, so a reused
+    // cacheDir cannot replay results of the old semantics.
+    EXPECT_EQ(kResultSchema, 2u);
     for (const Golden &g : fixtures) {
         auto config = smallConfig(g.design, g.inject);
         config.runs = 2; // the fixture was recorded with two runs
@@ -386,45 +392,72 @@ TEST(Experiment, TraceReplayReproducesCorrelatedRunBitForBit)
     EXPECT_EQ(gen.recoveries, rep.recoveries);
 }
 
-TEST(Experiment, ConfigKeyDistinguishesFailureScenarioAxes)
+TEST(Experiment, ConfigKeyClassifiesEveryField)
 {
-    const auto base = smallConfig(Design::ReinitFti, true);
+    // Every keyed field moves the key; the wall-clock-only ones
+    // (storage, drain, drainDepth, sandboxDir, cacheDir, cancel) never
+    // do, so they can never split or poison the result cache.
+    const ExperimentConfig base; // the table perturbs off the defaults
     const std::string key = configKey(base);
-    auto model = base;
-    model.failureModel = ft::FailureModelKind::IndependentExp;
-    EXPECT_NE(configKey(model), key);
-    auto mean = base;
-    mean.meanFailures = 2.5;
-    EXPECT_NE(configKey(mean), key);
-    auto cascade = base;
-    cascade.cascadeProb = 0.7;
-    EXPECT_NE(configKey(cascade), key);
-    auto corrupt = base;
-    corrupt.corruptFraction = 0.25;
-    EXPECT_NE(configKey(corrupt), key);
-    auto sdc = base;
-    sdc.sdcChecks = true;
-    EXPECT_NE(configKey(sdc), key);
-    auto scrubbed = base;
-    scrubbed.sdcChecks = true;
-    scrubbed.scrubStride = 5;
-    EXPECT_NE(configKey(scrubbed), configKey(sdc));
-    auto capped = base;
-    capped.drainCapacityBytes = std::size_t{1} << 20;
-    EXPECT_NE(configKey(capped), key);
-    auto transformed = base;
-    transformed.transform = storage::TransformKind::Delta;
-    EXPECT_NE(configKey(transformed), key);
-    auto rebased = transformed;
-    rebased.deltaRebase = 3;
-    EXPECT_NE(configKey(rebased), configKey(transformed));
+    for (const test::ConfigField &field : test::configFields()) {
+        auto changed = base;
+        field.perturb(changed);
+        ASSERT_FALSE(field.same(changed, base)) << field.name;
+        if (field.keyed) {
+            EXPECT_NE(configKey(changed), key) << field.name;
+        } else {
+            EXPECT_EQ(configKey(changed), key) << field.name;
+        }
+    }
+    // CostParams is hashed raw: each of its doubles is keyed.
+    constexpr std::size_t doubles =
+        sizeof(simmpi::CostParams) / sizeof(double);
+    for (std::size_t i = 0; i < doubles; ++i) {
+        auto changed = base;
+        double value = 0.0;
+        auto *raw = reinterpret_cast<unsigned char *>(&changed.costParams);
+        std::memcpy(&value, raw + i * sizeof(double), sizeof(double));
+        value = value * 2.0 + 1.0;
+        std::memcpy(raw + i * sizeof(double), &value, sizeof(double));
+        EXPECT_NE(configKey(changed), key) << "costParams double " << i;
+    }
+    // Collection fields are keyed by content, not just by presence.
     auto traced = base;
-    traced.failureModel = ft::FailureModelKind::Trace;
     traced.traceEvents = {{3, 1, ft::FailureKind::Crash}};
     auto traced2 = traced;
-    traced2.traceEvents = {{3, 2, ft::FailureKind::Crash}};
-    EXPECT_NE(configKey(traced), key);
+    traced2.traceEvents[0].rank = 2;
     EXPECT_NE(configKey(traced2), configKey(traced));
+    auto faulted = base;
+    faulted.storageFaultTrace = {{1, 2, storage::PathClass::Pfs,
+                                  storage::FaultKind::WriteFault, 2}};
+    auto faulted2 = faulted;
+    faulted2.storageFaultTrace[0].strikes = 3;
+    EXPECT_NE(configKey(faulted2), configKey(faulted));
+}
+
+TEST(Experiment, MiniViteCheckpointsAreRepeatable)
+{
+    // miniVite must checkpoint its live community buffer: a snapshot
+    // of freed memory made delta+compress results differ between two
+    // executions of the same cell in one process.
+    ExperimentConfig config;
+    config.app = "miniVite";
+    config.nprocs = 64;
+    config.design = Design::ReinitFti;
+    config.ckptStride = 1;
+    config.transform = storage::TransformKind::DeltaCompress;
+    config.runs = 2;
+    config.sandboxDir =
+        (fs::temp_directory_path() / "match-core-tests").string();
+    const auto first = runExperiment(config);
+    const auto second = runExperiment(config);
+    ASSERT_EQ(first.perRun.size(), second.perRun.size());
+    for (std::size_t r = 0; r < first.perRun.size(); ++r) {
+        EXPECT_EQ(first.perRun[r].application, second.perRun[r].application);
+        EXPECT_EQ(first.perRun[r].ckptWrite, second.perRun[r].ckptWrite);
+        EXPECT_EQ(first.perRun[r].ckptRead, second.perRun[r].ckptRead);
+        EXPECT_EQ(first.perRun[r].recovery, second.perRun[r].recovery);
+    }
 }
 
 TEST(Experiment, SdcChecksPriceVerificationWithoutChangingOutcome)

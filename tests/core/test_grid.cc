@@ -10,6 +10,7 @@
 #include <filesystem>
 
 #include "src/core/grid.hh"
+#include "tests/core/config_fields.hh"
 
 namespace fs = std::filesystem;
 using namespace match;
@@ -130,6 +131,61 @@ TEST(GridSpec, TransformAxisExpandsInnermost)
     for (const auto &cell : cells)
         EXPECT_EQ(cell.deltaRebase, 3);
     EXPECT_NE(configKey(cells[0]), configKey(cells[1]));
+}
+
+TEST(GridSpec, BaseSettingsReachEveryCell)
+{
+    // Every setting inherited from ExperimentConfig, set off its
+    // default on the spec, must arrive unchanged in every cell; only
+    // the seven per-cell fields vary, and exactly along their axes.
+    GridSpec spec;
+    for (const test::ConfigField &field : test::configFields()) {
+        if (!field.perCell)
+            field.perturb(spec);
+    }
+    spec.apps = {"miniVite", "HPCCG"};
+    spec.scales = {4, 8};
+    spec.inputs = {InputSize::Small, InputSize::Large};
+    spec.designs = {Design::ReinitFti, Design::UlfmFti};
+    spec.ckptStrides = {5, 10};
+    spec.ckptLevels = {1, 2};
+    spec.transforms = {storage::TransformKind::None,
+                       storage::TransformKind::Delta};
+    const auto cells = spec.enumerate();
+    ASSERT_EQ(cells.size(), 128u);
+    std::size_t at = 0;
+    for (const std::string &app : spec.apps)
+        for (int procs : spec.scales)
+            for (InputSize input : spec.inputs)
+                for (Design design : spec.designs)
+                    for (int stride : spec.ckptStrides)
+                        for (int level : spec.ckptLevels)
+                            for (auto transform : spec.transforms) {
+                                const ExperimentConfig &cell = cells[at++];
+                                test::expectSameBaseFields(cell, spec);
+                                EXPECT_EQ(cell.app, app);
+                                EXPECT_EQ(cell.nprocs, procs);
+                                EXPECT_EQ(cell.input, input);
+                                EXPECT_EQ(cell.design, design);
+                                EXPECT_EQ(cell.ckptStride, stride);
+                                EXPECT_EQ(cell.ckptLevel, level);
+                                EXPECT_EQ(cell.transform, transform);
+                            }
+}
+
+TEST(GridSpecDeathTest, PerCellFieldSetOnSpecIsRejected)
+{
+    // The axes own the per-cell fields: a value set on the spec itself
+    // would be overwritten in every cell, so enumerate() refuses it.
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const test::ConfigField &field : test::configFields()) {
+        if (!field.perCell)
+            continue;
+        GridSpec spec;
+        spec.apps = {"miniVite"};
+        field.perturb(spec);
+        EXPECT_DEATH(spec.enumerate(), "per-cell fields") << field.name;
+    }
 }
 
 TEST(GridRunner, ParallelRunIsBitIdenticalToSerial)
